@@ -23,6 +23,7 @@ the k-automorphism builder with noise vertices.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass, field
 
@@ -277,37 +278,66 @@ def balance_types(
     connections inside its current block so the cut grows as little as
     possible.  After the pass, per-type counts differ by at most one
     across blocks (zero padding when counts divide evenly).
+
+    Types are visited in first-seen order.  Each type's quotas are
+    fixed up front: the blocks that start with the most vertices of
+    the type keep the +1 shares.  Every move takes the first over-quota
+    block as source and the first under-quota block as destination,
+    and moves the source's vertex of that type with the smallest
+    ``(internal_degree, vid)``.
+
+    Cost: every vertex's internal degree is computed once, then kept
+    current by touching only the mover's neighbours; the mover comes
+    off a lazy per-block min-heap.  With ``m`` moves of maximum degree
+    ``d`` that is ``O(|V| log |V| + |E| + m * (k + d log |V|))`` time,
+    and ``graph.neighbors`` is called ``|V| + m`` times.
     """
     k = len(blocks)
     if k <= 1:
         return [sorted(block) for block in blocks]
-    blocks = [list(block) for block in blocks]
     block_of: dict[int, int] = {}
     for index, block in enumerate(blocks):
         for vid in block:
             block_of[vid] = index
 
+    type_of: dict[int, str] = {}
     by_type: dict[str, list[int]] = {}
     for vid in block_of:
-        by_type.setdefault(graph.vertex(vid).vertex_type, []).append(vid)
+        vertex_type = graph.vertex(vid).vertex_type
+        type_of[vid] = vertex_type
+        by_type.setdefault(vertex_type, []).append(vid)
 
-    def internal_degree(vid: int) -> int:
-        home = block_of[vid]
-        return sum(1 for n in graph.neighbors(vid) if block_of.get(n) == home)
+    # edges from each vertex into its own block, kept current per move
+    internal: dict[int, int] = {}
+    for vid, home in block_of.items():
+        internal[vid] = sum(
+            1 for n in graph.neighbors(vid) if block_of.get(n) == home
+        )
 
     for vertex_type, members in by_type.items():
         counts = [0] * k
         for vid in members:
             counts[block_of[vid]] += 1
-        floor = len(members) // k
-        remainder = len(members) - floor * k
+        floor, remainder = divmod(len(members), k)
         # fixed quotas: the blocks that already hold the most vertices
         # of this type keep the +1 shares (fewest moves needed)
         initially_largest = sorted(range(k), key=lambda b: (-counts[b], b))
-        quota = {
-            b: floor + (1 if rank < remainder else 0)
-            for rank, b in enumerate(initially_largest)
+        quota = [0] * k
+        for rank, b in enumerate(initially_largest):
+            quota[b] = floor + (1 if rank < remainder else 0)
+        # only over-quota blocks give up vertices of this type and they
+        # never receive one, so their vertices' internal degrees only
+        # fall: in a lazy (internal_degree, vid) heap per such block a
+        # vertex's freshest entry pops first, and later ones are stale
+        heaps: dict[int, list[tuple[int, int]]] = {
+            b: [] for b in range(k) if counts[b] > quota[b]
         }
+        for vid in members:
+            heap = heaps.get(block_of[vid])
+            if heap is not None:
+                heap.append((internal[vid], vid))
+        for heap in heaps.values():
+            heapq.heapify(heap)
         while True:
             over = [b for b in range(k) if counts[b] > quota[b]]
             under = [b for b in range(k) if counts[b] < quota[b]]
@@ -315,18 +345,32 @@ def balance_types(
                 break
             source = over[0]
             destination = under[0]
-            movable = [
-                vid
-                for vid in blocks[source]
-                if graph.vertex(vid).vertex_type == vertex_type
-            ]
-            mover = min(movable, key=lambda vid: (internal_degree(vid), vid))
-            blocks[source].remove(mover)
-            blocks[destination].append(mover)
+            heap = heaps[source]
+            while True:
+                _, mover = heapq.heappop(heap)
+                if block_of[mover] == source:
+                    break
             block_of[mover] = destination
+            gained = 0
+            for n in graph.neighbors(mover):
+                home = block_of.get(n)
+                if home == source:
+                    internal[n] -= 1
+                    if type_of[n] == vertex_type:
+                        heapq.heappush(heap, (internal[n], n))
+                elif home == destination:
+                    internal[n] += 1
+                    gained += 1
+            internal[mover] = gained
             counts[source] -= 1
             counts[destination] += 1
-    return [sorted(block) for block in blocks]
+
+    balanced: list[list[int]] = [[] for _ in range(k)]
+    for vid, index in block_of.items():
+        balanced[index].append(vid)
+    for block in balanced:
+        block.sort()
+    return balanced
 
 
 def cut_size(graph: AttributedGraph, blocks: list[list[int]]) -> int:
