@@ -11,11 +11,15 @@ ways, each removed by one hash-backed check:
 
 All checks are O(1) per vertex/edge, so the client's work is linear in
 the number of candidate matches — the property that makes outsourcing
-worthwhile (Section 2.3).
+worthwhile (Section 2.3).  The structures over ``G`` those checks need
+(its vertex-id set, and the CSR behind the bulk kernel) live in a
+:class:`FilterIndex` that a client builds once and shares across
+queries, so no query pays work linear in ``|G|``.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 
@@ -57,39 +61,105 @@ class TableFilterResult:
         return self.dropped_vertex + self.dropped_edge + self.dropped_label
 
 
-class ClientFilter:
-    """Precomputed hash structures over the original ``G`` and ``Q``."""
+#: ``_IndexState.csr`` before the first bulk scan asks for it.
+_UNBUILT = object()
 
-    def __init__(self, original_graph: AttributedGraph, original_query: AttributedGraph):
+
+class _IndexState:
+    """Filter structures for one version of ``G``."""
+
+    __slots__ = ("version", "vertex_set", "csr")
+
+    def __init__(self, graph: AttributedGraph) -> None:
+        self.version = graph.version
+        self.vertex_set = graph.vertex_id_set()
+        # the CSR of G (None = ineligible), built on the first bulk
+        # scan: written only under FilterIndex._lock
+        self.csr: object = _UNBUILT
+
+
+class FilterIndex:
+    """The per-``G`` half of the client filter, shared across queries.
+
+    Holds ``G``'s vertex-id set and the lazily built
+    :class:`~repro.cloud.index.GraphCSR` of ``G`` (or the verdict that
+    ``G`` is ineligible for one).  Both are rebuilt when
+    :attr:`AttributedGraph.version` moves, so an in-place update of
+    ``G`` is seen by the next query.  Thread-safe: concurrent queries
+    of one client build the CSR at most once per version.
+    """
+
+    def __init__(self, graph: AttributedGraph) -> None:
+        self.graph = graph
+        self._lock = threading.Lock()
+        self._state: _IndexState | None = None  #: guarded by _lock
+
+    def _current(self) -> _IndexState:
+        """The state for ``G`` as it is now (rebuilt if ``G`` changed)."""
+        version = self.graph.version
+        with self._lock:
+            state = self._state
+            if state is None or state.version != version:
+                state = self._state = _IndexState(self.graph)
+            return state
+
+    def vertex_set(self) -> set[int]:
+        """``V(G)`` as a set (shared: callers must not mutate it)."""
+        return self._current().vertex_set
+
+    def csr_built(self) -> bool:
+        """Whether the CSR of the current ``G`` is already built."""
+        return isinstance(self._current().csr, GraphCSR)
+
+    def csr(self) -> GraphCSR | None:
+        """The CSR of the current ``G`` (built on first use), or ``None``
+        when ``G`` is ineligible for one."""
+        state = self._current()
+        csr = state.csr
+        if csr is _UNBUILT:
+            with self._lock:
+                # double check: another query may have built it while
+                # this one waited for the lock
+                csr = state.csr
+                if csr is _UNBUILT:
+                    csr = state.csr = GraphCSR.build(self.graph)
+        return csr if isinstance(csr, GraphCSR) else None
+
+
+class ClientFilter:
+    """Hash structures over the original ``G`` and ``Q`` for one query.
+
+    ``index`` carries the per-``G`` structures; a client passes the
+    same :class:`FilterIndex` to every query's filter.  Without one the
+    filter builds a private index (the one-shot case).
+    """
+
+    def __init__(
+        self,
+        original_graph: AttributedGraph,
+        original_query: AttributedGraph,
+        index: FilterIndex | None = None,
+    ) -> None:
+        if index is None:
+            index = FilterIndex(original_graph)
+        elif index.graph is not original_graph:
+            raise ValueError("filter index was built over a different graph")
         self.graph = original_graph
         self.query = original_query
-        self._vertex_set = original_graph.vertex_id_set()
+        self.index = index
         self._query_edges = list(original_query.edges())
-        # CSR over G for the bulk filter kernel: built lazily on the
-        # first vectorized scan (None = unbuilt, False = ineligible).
-        self._csr: GraphCSR | None | bool = None
-
-    def _graph_csr(self) -> GraphCSR | None:
-        """The (lazily built) CSR of ``G``, or ``None`` if ineligible."""
-        cached = self._csr
-        if cached is False:
-            return None
-        if isinstance(cached, GraphCSR):
-            return cached
-        built = GraphCSR.build(self.graph)
-        self._csr = built if built is not None else False
-        return built
 
     def _bulk_pays_off(self, n_rows: int) -> bool:
         """Whether the bulk kernel amortizes its CSR build for ``n_rows``.
 
-        A filter instance lives for one query, so building the O(V+E)
-        CSR of ``G`` only pays when the candidate table is large
-        relative to the graph; a selective workload stays on the tuple
-        scan.  An already-built CSR (earlier call on this instance) and
-        the pinned-numpy test mode skip the cost model.
+        The CSR of ``G`` lives in the shared :class:`FilterIndex`, so
+        once any query of the client built it, every later vectorizable
+        table takes the bulk kernel.  Before that, building the O(V+E)
+        CSR only pays when the candidate table is large relative to the
+        graph; a selective workload stays on the tuple scan and never
+        builds it.  The pinned-numpy test mode skips the cost model.
         """
-        if isinstance(self._csr, GraphCSR) or vec.mode() == "numpy":
+        if vec.mode() == "numpy" or self.index.csr_built():
             return True
         return n_rows >= 256 and n_rows * 4 >= self.graph.vertex_count
 
@@ -102,7 +172,7 @@ class ClientFilter:
         started = time.perf_counter()
         graph = self.graph
         query = self.query
-        vertex_set = self._vertex_set
+        vertex_set = self.index.vertex_set()
         kept: list[Match] = []
         dropped_vertex = dropped_edge = dropped_label = 0
 
@@ -156,7 +226,7 @@ class ClientFilter:
         started = time.perf_counter()
         graph = self.graph
         query = self.query
-        vertex_set = self._vertex_set
+        vertex_set = self.index.vertex_set()
         has_edge = graph.has_edge
         data_vertex = graph.vertex
         column_of = candidates.column_of
@@ -259,7 +329,7 @@ class ClientFilter:
         — exactly the rows the tuple loop would have visited.  Returns
         ``None`` when the CSR or the flat columns are unavailable.
         """
-        csr = self._graph_csr()
+        csr = self.index.csr()
         if csr is None or not candidates.schema:
             return None
         cols_raw = candidates.as_columns()

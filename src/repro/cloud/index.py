@@ -53,6 +53,7 @@ class GraphCSR:
     source: AttributedGraph
     ids: Any  # sorted vertex ids, int64
     pos: Any  # dense id -> row LUT (-1 = unknown vertex)
+    present: Any  # dense id -> exists flags (pos >= 0)
     indptr: Any
     indices: Any  # neighbor ids, ascending within each row slice
     edge_keys: Any  # sorted packed min*stride+max keys
@@ -84,6 +85,8 @@ class GraphCSR:
         ids_arr = np.asarray(ids, dtype=np.int64)
         pos = np.full(max_id + 1, -1, dtype=np.int64)
         pos[ids_arr] = np.arange(len(ids), dtype=np.int64)
+        present = pos >= 0
+        present.flags.writeable = False
 
         indptr = np.zeros(len(ids) + 1, dtype=np.int64)
         flat_neighbors: list[int] = []
@@ -112,6 +115,7 @@ class GraphCSR:
             source=graph,
             ids=ids_arr,
             pos=pos,
+            present=present,
             indptr=indptr,
             indices=indices,
             edge_keys=edge_keys,
@@ -162,8 +166,12 @@ class GraphCSR:
 
     @hot_path
     def vertex_flags(self) -> Any:
-        """A dense ``id -> exists`` boolean array (bounds-guarded reads)."""
-        return self.pos >= 0
+        """A dense ``id -> exists`` boolean array (bounds-guarded reads).
+
+        Computed once at :meth:`build` (a CSR is immutable); callers
+        must not write to it.
+        """
+        return self.present
 
     @hot_path
     def edge_flags(self, u_col: Any, v_col: Any) -> Any:

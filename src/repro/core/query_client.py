@@ -4,7 +4,9 @@ The client is trusted by the data owner: it holds the original graph
 ``G``, the private LCT and the AVT.  Its per-query work (Section 4.2.2)
 is linear in the number of candidate matches: expand ``Rin`` through
 the automorphic functions (unless the cloud already did) and filter
-false positives against ``G``.
+false positives against ``G``.  The filter's structures over ``G``
+(:class:`~repro.client.filtering.FilterIndex`) are built once per
+client, not once per query.
 
 Each phase emits a span (``client.anonymize`` / ``client.expand`` /
 ``client.filter``) on the :class:`~repro.obs.Observability` scope
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from repro.anonymize.lct import LabelCorrespondenceTable
 from repro.anonymize.query_anonymizer import anonymize_query
 from repro.client.expansion import expand_rin, expand_rin_table
-from repro.client.filtering import ClientFilter
+from repro.client.filtering import ClientFilter, FilterIndex
 from repro.compat import warn_renamed
 from repro.graph.attributed import AttributedGraph
 from repro.kauto.avt import AlignmentVertexTable
@@ -84,7 +86,7 @@ class QueryClient:
         avt: AlignmentVertexTable,
         obs: Observability | None = None,
     ) -> None:
-        self.graph = original_graph
+        self._filter_index = FilterIndex(original_graph)
         self.lct = lct
         self.avt = avt
         self.obs = obs if obs is not None else Observability.measuring()
@@ -93,6 +95,12 @@ class QueryClient:
         # client has filtered (shows up on /metrics as
         # `privacy_audit_false_positive_ratio_live`).
         register_live_false_positive_ratio(self.obs.metrics)
+
+    @property
+    def graph(self) -> AttributedGraph:
+        """The original ``G`` (fixed for the client's lifetime; in-place
+        updates are fine, the filter index tracks its version)."""
+        return self._filter_index.graph
 
     def prepare_query(
         self, query: AttributedGraph, obs: Observability | None = None
@@ -143,7 +151,9 @@ class QueryClient:
                 span.set(candidates=len(candidates))
             expansion_seconds = span.duration
         with tracer.span(names.CLIENT_FILTER) as span:
-            client_filter = ClientFilter(self.graph, query)
+            client_filter = ClientFilter(
+                self.graph, query, index=self._filter_index
+            )
             if isinstance(candidates, MatchTable):
                 exact = client_filter.filter_table(
                     candidates, limit=limit

@@ -83,6 +83,7 @@ class AttributedGraph:
         self._vertices: dict[int, VertexData] = {}
         self._adj: dict[int, set[int]] = {}
         self._edge_count = 0
+        self._version = 0
 
     # ------------------------------------------------------------------
     # mutation
@@ -99,12 +100,14 @@ class AttributedGraph:
         data = VertexData(vertex_id, vertex_type, _freeze_labels(labels))
         self._vertices[vertex_id] = data
         self._adj[vertex_id] = set()
+        self._version += 1
         return data
 
     def set_vertex_labels(self, vertex_id: int, labels: LabelMap) -> None:
         """Replace the label sets of an existing vertex."""
         old = self.vertex(vertex_id)
         self._vertices[vertex_id] = old.with_labels(labels)
+        self._version += 1
 
     def add_edge(self, u: int, v: int) -> bool:
         """Add undirected edge (u, v); returns False if it already existed."""
@@ -117,6 +120,7 @@ class AttributedGraph:
         self._adj[u].add(v)
         self._adj[v].add(u)
         self._edge_count += 1
+        self._version += 1
         return True
 
     def remove_edge(self, u: int, v: int) -> None:
@@ -125,6 +129,7 @@ class AttributedGraph:
         self._adj[u].discard(v)
         self._adj[v].discard(u)
         self._edge_count -= 1
+        self._version += 1
 
     # ------------------------------------------------------------------
     # inspection
@@ -136,6 +141,16 @@ class AttributedGraph:
     @property
     def edge_count(self) -> int:
         return self._edge_count
+
+    @property
+    def version(self) -> int:
+        """Mutation counter: bumped by every change to vertices, labels or edges.
+
+        Caches derived from the graph (the client's filter index) key
+        on it to notice in-place updates.  Only comparable on the same
+        object: a copy restarts its own count.
+        """
+        return self._version
 
     def __contains__(self, vertex_id: int) -> bool:
         return vertex_id in self._vertices

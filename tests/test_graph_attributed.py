@@ -101,6 +101,29 @@ class TestEdgeOperations:
         assert AttributedGraph().average_degree() == 0.0
 
 
+class TestVersion:
+    def test_every_mutation_bumps_the_version(self):
+        graph = build_path(3)
+        seen = [graph.version]
+        graph.add_vertex(3, "t")
+        seen.append(graph.version)
+        graph.add_edge(2, 3)
+        seen.append(graph.version)
+        graph.remove_edge(0, 1)
+        seen.append(graph.version)
+        graph.set_vertex_labels(3, {"a": ["x"]})
+        seen.append(graph.version)
+        assert seen == sorted(set(seen))
+
+    def test_reads_and_no_op_add_edge_keep_the_version(self):
+        graph = build_path(3)
+        version = graph.version
+        assert graph.add_edge(0, 1) is False
+        graph.vertex_id_set()
+        graph.copy()
+        assert graph.version == version
+
+
 class TestStructureHelpers:
     def test_connectivity(self):
         graph = build_path(5)

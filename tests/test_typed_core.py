@@ -1,7 +1,8 @@
 """The typed-core gate, approximated locally.
 
-CI runs mypy over ``repro.core``, ``repro.cloud``, ``repro.obs`` and
-``repro.matching`` (the columnar hot path lives there)
+CI runs mypy over ``repro.core``, ``repro.cloud``, ``repro.obs``,
+``repro.matching`` (the columnar hot path lives there), ``repro.gateway``
+and ``repro.client`` (the Algorithm-3 expansion and filter kernels)
 with ``disallow_untyped_defs`` (see ``[tool.mypy]`` in pyproject.toml
 and the ``typecheck`` workflow job).  The development container does
 not ship mypy, so this test enforces the *completeness* half of that
@@ -29,6 +30,7 @@ TYPED_PACKAGES = (
     "repro/obs",
     "repro/matching",
     "repro/gateway",
+    "repro/client",
 )
 
 
@@ -60,7 +62,7 @@ def _missing_annotations(node: ast.FunctionDef | ast.AsyncFunctionDef) -> list[s
 
 
 def test_typed_core_signatures_are_complete():
-    """Every def in repro.core / repro.cloud / repro.obs is annotated."""
+    """Every def in the typed-core packages is annotated."""
     offenders: list[str] = []
     for path in _typed_core_files():
         tree = ast.parse(path.read_text(encoding="utf-8"))
